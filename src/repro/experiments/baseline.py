@@ -14,25 +14,20 @@ with two clearly separated sections:
   bit-for-bit, which is what the regression check in
   ``tests/test_perf_baseline.py`` pins.
 
-The CLI front-end is ``python -m repro.experiments perf-baseline``;
-the pytest benchmark (``benchmarks/bench_baseline.py``) dispatches
-through the registered ``perf_baseline`` experiment.
+``python -m repro.experiments bench perf_baseline`` runs the registered
+``perf_baseline`` experiment and writes this document.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
+from repro.experiments.bench import PhaseTimer
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle, make_trace
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.sinks import SummarySink
 from repro.metrics.spans import SpanRecorder
-from repro.util.proc import peak_rss_mb
 
-__all__ = ["run_perf_baseline", "write_baseline", "SCHEMA"]
+__all__ = ["run_perf_baseline", "SCHEMA"]
 
 SCHEMA = "repro.perf_baseline/1"
 
@@ -144,34 +139,18 @@ def run_perf_baseline(
     if n_requests is None:
         n_requests = 12_000 if full else 3_000
 
-    phases: dict[str, dict[str, float]] = {}
-
-    def timed(name: str):
-        class _Phase:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                phases[name] = {
-                    "wall_ms": (time.perf_counter() - self_inner.t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                }
-                return False
-
-        return _Phase()
-
-    with timed("build"):
+    timer = PhaseTimer()
+    with timer.phase("build"):
         bundle = build_bundle(SimConfig(n_peers=n_peers, seed=seed))
-    with timed("trace"):
+    with timer.phase("trace"):
         trace = make_trace(bundle, n_requests)
-    with timed("chord_routes"):
+    with timer.phase("chord_routes"):
         chord_metrics = _traced_routes(bundle.chord, trace, engine=engine)
-    with timed("hieras_routes"):
+    with timer.phase("hieras_routes"):
         hieras_metrics = _traced_routes(bundle.hieras, trace, engine=engine)
-    with timed("protocol_smoke"):
+    with timer.phase("protocol_smoke"):
         protocol_metrics = _protocol_smoke(seed)
 
-    phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
     return {
         "schema": SCHEMA,
         "config": {
@@ -183,7 +162,7 @@ def run_perf_baseline(
             "model": bundle.config.model,
             "engine": engine,
         },
-        "phases": phases,
+        "phases": timer.finish(),
         "metrics": {
             "chord": chord_metrics,
             "hieras": hieras_metrics,
@@ -191,9 +170,3 @@ def run_perf_baseline(
         },
     }
 
-
-def write_baseline(doc: dict[str, object], out: str | Path) -> Path:
-    """Write one baseline document as stable, indented JSON."""
-    path = Path(out)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path

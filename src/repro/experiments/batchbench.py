@@ -14,25 +14,20 @@ batch kernels — and writes ``BENCH_batchroute.json`` in the
   latencies, layer splits) between the two engines.  **Deterministic**:
   a pure function of the seed.
 
-CLI front-end: ``python -m repro.experiments batch-bench``; the pytest
-benchmark (``benchmarks/bench_batchroute.py``) dispatches through the
-registered ``batch_route`` experiment.
+``python -m repro.experiments bench batch_route`` runs the registered
+``batch_route`` experiment and writes this document.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 
 from repro.analysis.stats import RouteSample, collect_routes
+from repro.experiments.bench import PhaseTimer
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle, make_trace
-from repro.util.proc import peak_rss_mb
 
-__all__ = ["SCHEMA", "run_bench_batchroute", "write_bench_batchroute"]
+__all__ = ["SCHEMA", "run_bench_batchroute"]
 
 SCHEMA = "repro.bench_batchroute/1"
 
@@ -76,32 +71,24 @@ def run_bench_batchroute(
     if n_requests is None:
         n_requests = 50_000 if full else 10_000
 
-    phases: dict[str, dict[str, float]] = {}
+    timer = PhaseTimer()
     cells: dict[str, dict[str, object]] = {}
 
     for n_peers in sizes:
-        t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-        bundle = build_bundle(SimConfig(model="ts", n_peers=n_peers, seed=seed))
-        trace = make_trace(bundle, n_requests)
-        phases[f"build_n{n_peers}"] = {
-            "wall_ms": (time.perf_counter() - t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-        }
+        with timer.phase(f"build_n{n_peers}"):
+            bundle = build_bundle(SimConfig(model="ts", n_peers=n_peers, seed=seed))
+            trace = make_trace(bundle, n_requests)
         for stack, network in (("chord", bundle.chord), ("hieras", bundle.hieras)):
-            t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-            scalar = collect_routes(network, trace, engine="scalar")
-            t1 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-            batch = collect_routes(network, trace, engine="batch")
-            t2 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-            scalar_ms = (t1 - t0) * 1000.0
-            batch_ms = (t2 - t1) * 1000.0
-            phases[f"{stack}_n{n_peers}"] = {
-                "scalar_wall_ms": scalar_ms,
-                "batch_wall_ms": batch_ms,
-                "scalar_lookups_per_s": n_requests / (scalar_ms / 1000.0),
-                "batch_lookups_per_s": n_requests / (batch_ms / 1000.0),
-                "speedup": scalar_ms / batch_ms if batch_ms else 0.0,
-            }
-            cells[f"{stack}_n{n_peers}"] = {
+            name = f"{stack}_n{n_peers}"
+            with timer.phase(name, key="scalar_wall_ms"):
+                scalar = collect_routes(network, trace, engine="scalar")
+            with timer.phase(name, key="batch_wall_ms") as phase:
+                batch = collect_routes(network, trace, engine="batch")
+            scalar_ms, batch_ms = phase["scalar_wall_ms"], phase["batch_wall_ms"]
+            phase["scalar_lookups_per_s"] = n_requests / (scalar_ms / 1000.0)
+            phase["batch_lookups_per_s"] = n_requests / (batch_ms / 1000.0)
+            phase["speedup"] = scalar_ms / batch_ms if batch_ms else 0.0
+            cells[name] = {
                 "stack": stack,
                 "n_peers": n_peers,
                 "lookups": n_requests,
@@ -112,7 +99,6 @@ def run_bench_batchroute(
                 "mean_top_layer_hops": batch.mean_top_layer_hops,
             }
 
-    phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
     return {
         "schema": SCHEMA,
         "config": {
@@ -123,13 +109,7 @@ def run_bench_batchroute(
             "headline_n": HEADLINE_N,
             "headline_speedup": HEADLINE_SPEEDUP,
         },
-        "phases": phases,
+        "phases": timer.finish(),
         "metrics": {"cells": cells},
     }
 
-
-def write_bench_batchroute(doc: dict[str, object], out: str | Path) -> Path:
-    """Write one BENCH_batchroute document as stable, indented JSON."""
-    path = Path(out)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path

@@ -26,27 +26,22 @@ seed reproduces ``metrics`` byte-for-byte.
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 
 from repro.cache import CachedNetwork, CachePolicy
 from repro.engine import batch_route, supports_batch
+from repro.experiments.bench import PhaseTimer
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import SimulationBundle, build_bundle
 from repro.faults import FaultInjector, FaultPlan
 from repro.util.rng import RngFactory
 from repro.workloads.requests import RequestTrace, generate_requests
-from repro.util.proc import peak_rss_mb
 
 __all__ = [
     "SCHEMA",
     "make_zipf_trace",
     "run_cache_cell",
     "run_bench_cache",
-    "write_bench_cache",
 ]
 
 SCHEMA = "repro.bench_cache/1"
@@ -238,23 +233,9 @@ def run_bench_cache(
     if catalog_size is None:
         catalog_size = 10_000 if full else 2_000
 
-    phases: dict[str, dict[str, float]] = {}
+    timer = PhaseTimer()
 
-    def timed(name: str):
-        class _Phase:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                phases[name] = {
-                    "wall_ms": (time.perf_counter() - self_inner.t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                }
-                return False
-
-        return _Phase()
-
-    with timed("build"):
+    with timer.phase("build"):
         bundle = build_bundle(
             SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
         )
@@ -281,7 +262,7 @@ def run_bench_cache(
         }
 
     for stack in ("chord", "hieras"):
-        with timed(f"{stack}_sweep"):
+        with timer.phase(f"{stack}_sweep"):
             for exponent in exponents:
                 trace = make_zipf_trace(
                     bundle, n_requests,
@@ -318,7 +299,7 @@ def run_bench_cache(
                             "uncached_max_served": base["load_max_served"],
                             "cached_max_served": cell["load_max_served"],
                         }
-        with timed(f"{stack}_churn"):
+        with timer.phase(f"{stack}_churn"):
             # Shortcut-only caching (cache_values=False): every hit must
             # *contact* the cached owner, so crashed owners are detected,
             # evicted and routed around — the staleness story, measured.
@@ -352,7 +333,6 @@ def run_bench_cache(
                 )
             )
 
-    phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
     return {
         "schema": SCHEMA,
         "config": {
@@ -368,13 +348,7 @@ def run_bench_cache(
             "headline_capacity": HEADLINE_CAPACITY,
             "engine": engine,
         },
-        "phases": phases,
+        "phases": timer.finish(),
         "metrics": {"cells": cells, "headline": headline},
     }
 
-
-def write_bench_cache(doc: dict[str, object], out: str | Path) -> Path:
-    """Write one BENCH_cache document as stable, indented JSON."""
-    path = Path(out)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path

@@ -34,22 +34,17 @@ byte-for-byte.
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
+from repro.experiments.bench import PhaseTimer
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import SimulationBundle, build_bundle
 from repro.faults import FaultInjector, FaultPlan
 from repro.replication import ReplicatedStore, ReplicationPolicy
 from repro.util.rng import RngFactory
-from repro.util.proc import peak_rss_mb
 
 __all__ = [
     "SCHEMA",
     "run_durability_cell",
     "run_bench_durability",
-    "write_bench_durability",
 ]
 
 SCHEMA = "repro.bench_durability/1"
@@ -211,30 +206,16 @@ def run_bench_durability(
     if n_keys is None:
         n_keys = 200 if full else 80
 
-    phases: dict[str, dict[str, float]] = {}
+    timer = PhaseTimer()
 
-    def timed(name: str):
-        class _Phase:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                phases[name] = {
-                    "wall_ms": (time.perf_counter() - self_inner.t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                }
-                return False
-
-        return _Phase()
-
-    with timed("build"):
+    with timer.phase("build"):
         bundle = build_bundle(
             SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
         )
 
     cells: list[dict[str, object]] = []
     for stack in ("chord", "hieras"):
-        with timed(f"{stack}_sweep"):
+        with timer.phase(f"{stack}_sweep"):
             for replicas in replication_factors:
                 for churn in churn_fractions:
                     for consistency in ("chain", "quorum"):
@@ -266,7 +247,7 @@ def run_bench_durability(
 
     # Paired hinted-handoff cells: identical scenario, handoff toggled.
     handoff: dict[str, dict[str, dict[str, float]]] = {}
-    with timed("handoff_pairs"):
+    with timer.phase("handoff_pairs"):
         for stack in ("chord", "hieras"):
             pair: dict[str, dict[str, float]] = {}
             for label, enabled in (("on", True), ("off", False)):
@@ -326,7 +307,6 @@ def run_bench_durability(
         },
     }
 
-    phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
     return {
         "schema": SCHEMA,
         "config": {
@@ -339,13 +319,7 @@ def run_bench_durability(
             "headline_replicas": HEADLINE_REPLICAS,
             "headline_churn": HEADLINE_CHURN,
         },
-        "phases": phases,
+        "phases": timer.finish(),
         "metrics": {"cells": cells, "handoff": handoff, "headline": headline},
     }
 
-
-def write_bench_durability(doc: dict[str, object], out: str | Path) -> Path:
-    """Write one BENCH_durability document as stable, indented JSON."""
-    path = Path(out)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path

@@ -5,7 +5,8 @@ the request trace through Chord and HIERAS, and renders the same rows
 or series the paper reports, followed by a shape check against the
 paper's qualitative claims.  ``EXPERIMENTS`` maps ids to
 :class:`Experiment` records; the CLI and the pytest benchmarks both
-dispatch through it.
+dispatch through it.  Entries with a ``bench_out`` file name return a
+BENCH document as their ``data``, which ``bench <id>`` writes.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ class Experiment:
     title: str
     paper_claim: str
     run: Callable[[bool, int], ExperimentResult]
+    #: Default output file of ``bench <id>``; only experiments whose
+    #: ``data`` is a BENCH document (``repro.experiments.bench``) set it.
+    bench_out: str | None = None
 
 
 # ----------------------------------------------------------------------
@@ -1221,13 +1225,8 @@ def _run_resilience(full: bool, seed: int) -> ExperimentResult:
     ``route_lossy`` lookups pay timeout penalties for dead fingers and
     fall back through successor lists.  Protocol stack: the same kind of
     plan drives the discrete-event simulation (SimNode crashes, loss
-    bursts) against retrying lookups.  Writes the structured rows to
-    ``resilience.json`` (directory overridable via REPRO_ARTIFACT_DIR).
+    bursts) against retrying lookups.
     """
-    import json
-    import os
-    from pathlib import Path
-
     from repro.experiments.resilience import (
         run_protocol_resilience,
         run_static_resilience_cell,
@@ -1305,13 +1304,6 @@ def _run_resilience(full: bool, seed: int) -> ExperimentResult:
         "n_requests": n_requests,
         "seed": seed,
     }
-    artifact_dir = Path(os.environ.get("REPRO_ARTIFACT_DIR", "."))
-    try:
-        artifact_path = artifact_dir / "resilience.json"
-        artifact_path.write_text(json.dumps(data, indent=2), encoding="utf-8")
-        lines.append(f"\nwrote {artifact_path}")
-    except OSError:  # pragma: no cover - unwritable artifact dir
-        pass
     return ExperimentResult(
         "resilience",
         "Resilience — failure-aware lookups under crashes and loss",
@@ -1329,6 +1321,7 @@ def _run_perf_baseline(full: bool, seed: int) -> ExperimentResult:
     reproducibility test — pin it exactly.
     """
     from repro.experiments.baseline import run_perf_baseline
+    from repro.experiments.bench import wall_times
 
     doc = run_perf_baseline(full=full, seed=seed)
     metrics = doc["metrics"]
@@ -1372,7 +1365,7 @@ def _run_perf_baseline(full: bool, seed: int) -> ExperimentResult:
         ),
     ]
     phase_line = "  ".join(
-        f"{name}={p['wall_ms']:.0f}ms" for name, p in doc["phases"].items()
+        f"{name}={ms:.0f}ms" for name, ms in wall_times(doc["phases"]).items()
     )
     lines = [
         f"{doc['config']['n_peers']} peers, {n_requests} lookups, seed {seed}; "
@@ -1564,11 +1557,12 @@ def _run_batch_route(full: bool, seed: int) -> ExperimentResult:
 def _run_scale(full: bool, seed: int) -> ExperimentResult:
     """Million-peer scale-out: incremental membership + streamed lookups.
 
-    The claims pin the three deterministic contracts of the scale work:
+    The claims pin the four deterministic contracts of the scale work:
     membership waves go through the splice path (zero full rebuilds),
-    the spliced state is bit-identical to a from-scratch rebuild, and
-    both stacks' streamed lookups resolve every key to the same global
-    owner (equal order-weighted checksums).  Build times, wave times,
+    the spliced state is bit-identical to a from-scratch rebuild, both
+    stacks' streamed lookups resolve every key to the same global owner
+    (equal order-weighted checksums), and the batch engine matches the
+    scalar loop on the spot-checked cell.  Build times, wave times,
     lookups/sec and peak RSS are printed from ``phases`` for the record
     but never gate the run; the committed BENCH_scale.json holds the
     N=10⁶ acceptance evidence.
@@ -1624,6 +1618,12 @@ def _run_scale(full: bool, seed: int) -> ExperimentResult:
             all(c["stacks_agree_owners"] for c in cells.values()),
             "Chord and HIERAS streamed lookups resolve every key to the "
             "same owner (equal order-weighted checksums per cell)",
+        ),
+        _claim(
+            all(c["engines_agree"] is not False for c in cells.values())
+            and any(c["engines_agree"] for c in cells.values()),
+            "the batch and scalar engines agree exactly (owners, hops, "
+            "latencies) on the smallest cell's spot check, on both stacks",
         ),
     ]
     return ExperimentResult(
@@ -2091,6 +2091,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "majority of HIERAS hops in lower rings; latency advantage in "
             "streaming histograms (§4.3)",
             _run_perf_baseline,
+            bench_out="BENCH_baseline.json",
         ),
         Experiment(
             "cache_effect",
@@ -2098,6 +2099,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "path caching cuts mean latency >=20% on skewed workloads and "
             "spreads hot-key owner load (CFS-style, DESIGN.md §9)",
             _run_cache_effect,
+            bench_out="BENCH_cache.json",
         ),
         Experiment(
             "batch_route",
@@ -2105,6 +2107,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "frontier-stepped numpy routing is bit-identical to the scalar "
             "loop and an order of magnitude faster",
             _run_batch_route,
+            bench_out="BENCH_batchroute.json",
         ),
         Experiment(
             "scale",
@@ -2114,6 +2117,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "latency blocks stream on demand so lookups run at N=10⁶ in "
             "bounded memory",
             _run_scale,
+            bench_out="BENCH_scale.json",
         ),
         Experiment(
             "durability",
@@ -2123,6 +2127,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "probability vs replication factor, chain vs quorum, hinted "
             "handoff, ring-scoped placement)",
             _run_durability,
+            bench_out="BENCH_durability.json",
         ),
         Experiment(
             "saturation",
@@ -2131,6 +2136,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "batch coalescing moves the knee, admission control bounds the "
             "flash-crowd tail, HIERAS serves at lower p99 (DESIGN.md §12)",
             _run_saturation,
+            bench_out="BENCH_serve.json",
         ),
         Experiment(
             "scenarios",
@@ -2140,6 +2146,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "replay identically on both stacks with availability, stretch, "
             "recovery-time and durability measurements",
             _run_scenarios,
+            bench_out="BENCH_scenarios.json",
         ),
     ]
 }

@@ -19,27 +19,24 @@ One run, per network size, on both stacks:
 Document layout follows the repo's ``BENCH_*`` convention: wall-clock
 and peak-RSS numbers in the nondeterministic ``phases`` section,
 seed-deterministic aggregates in the byte-compared ``metrics`` section.
-CLI front-end: ``python -m repro.experiments scale-bench``.
+CLI front-end: ``python -m repro.experiments bench scale``.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.engine.batch import batch_route
 from repro.engine.stream import stream_batch_route
+from repro.experiments.bench import PhaseTimer
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import SimulationBundle, make_trace
 from repro.scale import build_scale_bundle, hot_state_bytes
-from repro.util.proc import peak_rss_mb
 from repro.util.rng import RngFactory
 
-__all__ = ["SCHEMA", "run_bench_scale", "write_bench_scale"]
+__all__ = ["SCHEMA", "run_bench_scale"]
 
 SCHEMA = "repro.bench_scale/1"
 
@@ -114,35 +111,26 @@ def run_bench_scale(
     if sizes is None:
         sizes = FULL_SIZES if full else SMOKE_SIZES
 
-    phases: dict[str, dict[str, float]] = {}
+    timer = PhaseTimer()
     cells: dict[str, dict[str, object]] = {}
 
     for n_peers in sizes:
         wave_size = max(8, min(1024, n_peers // 16))
         n_lookups = _lookups_for(n_peers, full=full)
 
-        t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-        bundle = build_scale_bundle(SimConfig(model="ts", n_peers=n_peers, seed=seed))
-        phases[f"build_n{n_peers}"] = {
-            "wall_ms": (time.perf_counter() - t0) * 1000.0,  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-            "peak_rss_mb": peak_rss_mb(),
-        }
+        with timer.phase(f"build_n{n_peers}", rss=True):
+            bundle = build_scale_bundle(SimConfig(model="ts", n_peers=n_peers, seed=seed))
 
         # --- membership waves through the incremental splice path ----
         wave_rng = RngFactory(seed).get("scale-wave")
         wave = np.sort(wave_rng.choice(n_peers, size=wave_size, replace=False))
         builds_before = (bundle.chord.rebuild_count, bundle.hieras.rebuild_count)
-        t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-        bundle.chord.remove_peers(wave.tolist())
-        bundle.hieras.remove_peers(wave.tolist())
-        t1 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-        bundle.chord.revive_peers(wave.tolist())
-        bundle.hieras.revive_peers(wave.tolist())
-        t2 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-        phases[f"wave_n{n_peers}"] = {
-            "remove_wall_ms": (t1 - t0) * 1000.0,
-            "revive_wall_ms": (t2 - t1) * 1000.0,
-        }
+        with timer.phase(f"wave_n{n_peers}", key="remove_wall_ms"):
+            bundle.chord.remove_peers(wave.tolist())
+            bundle.hieras.remove_peers(wave.tolist())
+        with timer.phase(f"wave_n{n_peers}", key="revive_wall_ms"):
+            bundle.chord.revive_peers(wave.tolist())
+            bundle.hieras.revive_peers(wave.tolist())
         full_rebuilds_during_waves = (
             bundle.chord.rebuild_count - builds_before[0],
             bundle.hieras.rebuild_count - builds_before[1],
@@ -150,28 +138,21 @@ def run_bench_scale(
 
         # --- bit-identical-to-rebuild check (and rebuild reference) --
         snap = _snapshot(bundle)
-        t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-        bundle.chord.rebuild()
-        bundle.hieras.rebuild()
-        phases[f"rebuild_n{n_peers}"] = {
-            "wall_ms": (time.perf_counter() - t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-        }
+        with timer.phase(f"rebuild_n{n_peers}"):
+            bundle.chord.rebuild()
+            bundle.hieras.rebuild()
         incremental_matches = _matches(bundle, snap)
 
         # --- streamed lookups ----------------------------------------
         trace = make_trace(bundle, n_lookups)
         stacks = {}
         for stack, network in (("chord", bundle.chord), ("hieras", bundle.hieras)):
-            t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-            stats = stream_batch_route(
-                network, trace.sources, trace.keys, chunk_size=CHUNK_SIZE
-            )
-            wall_ms = (time.perf_counter() - t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-            phases[f"{stack}_lookup_n{n_peers}"] = {
-                "wall_ms": wall_ms,
-                "lookups_per_s": n_lookups / (wall_ms / 1000.0) if wall_ms else 0.0,
-                "peak_rss_mb": peak_rss_mb(),
-            }
+            with timer.phase(f"{stack}_lookup_n{n_peers}", rss=True) as phase:
+                stats = stream_batch_route(
+                    network, trace.sources, trace.keys, chunk_size=CHUNK_SIZE
+                )
+            wall_ms = phase["wall_ms"]
+            phase["lookups_per_s"] = n_lookups / (wall_ms / 1000.0) if wall_ms else 0.0
             stacks[stack] = stats.as_dict()
 
         # --- batch-vs-scalar spot check at the smallest size ---------
@@ -229,7 +210,6 @@ def run_bench_scale(
         del bundle, trace
         gc.collect()
 
-    phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
     return {
         "schema": SCHEMA,
         "config": {
@@ -238,13 +218,7 @@ def run_bench_scale(
             "sizes": list(sizes),
             "chunk_size": CHUNK_SIZE,
         },
-        "phases": phases,
+        "phases": timer.finish(),
         "metrics": {"cells": cells},
     }
 
-
-def write_bench_scale(doc: dict[str, object], out: str | Path) -> Path:
-    """Write one BENCH_scale document as stable, indented JSON."""
-    path = Path(out)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path

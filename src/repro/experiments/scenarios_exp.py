@@ -15,27 +15,23 @@ reduced sweep twice and compares the serialized ``metrics`` sections.
 (the correlated regional failure): if HIERAS availability collapses
 further than observed at pin time, recovery slows past the ceiling, or
 data loss appears where none was, :func:`check_gates` reports the
-violations and the CI job fails.
+violations, the ``scenarios`` experiment's gate claim diverges and
+``bench scenarios`` exits 1.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
+from repro.experiments.bench import PhaseTimer
 from repro.experiments.config import SimConfig
 from repro.scenarios.runner import run_scenario_cell
 from repro.scenarios.spec import ScenarioParams
 from repro.scenarios.library import scenario_names
-from repro.util.proc import peak_rss_mb
 
 __all__ = [
     "SCHEMA",
     "GATES",
     "run_bench_scenarios",
     "check_gates",
-    "write_bench_scenarios",
 ]
 
 SCHEMA = "repro.bench_scenarios/1"
@@ -99,32 +95,17 @@ def run_bench_scenarios(
         catalog_size=128 if full else 64,
     )
 
-    phases: dict[str, dict[str, float]] = {}
-
-    def timed(name: str):
-        class _Phase:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                phases[name] = {
-                    "wall_ms": (time.perf_counter() - self_inner.t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                }
-                return False
-
-        return _Phase()
+    timer = PhaseTimer()
 
     results: dict[str, dict[str, dict[str, object]]] = {}
     for name in names:
-        with timed(name):
+        with timer.phase(name):
             results[name] = {
                 stack: run_scenario_cell(config, name, stack, params)
                 for stack in ("chord", "hieras")
             }
 
     headline = _headline(results, params)
-    phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
     return {
         "schema": SCHEMA,
         "config": {
@@ -139,7 +120,7 @@ def run_bench_scenarios(
             "rate_per_s": params.rate_per_s,
             "scenarios": names,
         },
-        "phases": phases,
+        "phases": timer.finish(),
         "metrics": {"scenarios": results, "headline": headline},
     }
 
@@ -267,9 +248,3 @@ def check_gates(doc: dict[str, object]) -> list[str]:
                 )
     return violations
 
-
-def write_bench_scenarios(doc: dict[str, object], out: str | Path) -> Path:
-    """Write one BENCH_scenarios document as stable, indented JSON."""
-    path = Path(out)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path

@@ -32,13 +32,11 @@ Output follows the ``BENCH_*`` convention: one JSON document whose
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from repro.experiments.bench import PhaseTimer
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import SimulationBundle, build_bundle
 from repro.loadgen import (
@@ -51,14 +49,12 @@ from repro.loadgen import (
 )
 from repro.replication import ReplicatedStore, ReplicationPolicy
 from repro.serve import DHTService, Request, ServiceConfig
-from repro.util.proc import peak_rss_mb
 
 __all__ = [
     "SCHEMA",
     "mixed_capacity_per_s",
     "run_serve_cell",
     "run_bench_serve",
-    "write_bench_serve",
 ]
 
 SCHEMA = "repro.bench_serve/1"
@@ -207,23 +203,9 @@ def run_bench_serve(
     batched = ServiceConfig()
     scalar = ServiceConfig(max_batch=1)
 
-    phases: dict[str, dict[str, float]] = {}
+    timer = PhaseTimer()
 
-    def timed(name: str):
-        class _Phase:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                phases[name] = {
-                    "wall_ms": (time.perf_counter() - self_inner.t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                }
-                return False
-
-        return _Phase()
-
-    with timed("build"):
+    with timer.phase("build"):
         bundle = build_bundle(
             SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
         )
@@ -231,7 +213,7 @@ def run_bench_serve(
     sweep: list[dict[str, Any]] = []
     knee: dict[str, dict[str, float]] = {}
     for stack in ("chord", "hieras"):
-        with timed(f"{stack}_sweep"):
+        with timer.phase(f"{stack}_sweep"):
             for rate in rates:
                 cell = run_serve_cell(
                     bundle,
@@ -259,7 +241,7 @@ def run_bench_serve(
         }
 
     flash: dict[str, dict[str, Any]] = {}
-    with timed("flash_pairs"):
+    with timer.phase("flash_pairs"):
         for stack in ("chord", "hieras"):
             pair: dict[str, Any] = {}
             for label, limit in (("unbounded", None), ("bounded", FLASH_QUEUE_LIMIT)):
@@ -276,7 +258,7 @@ def run_bench_serve(
             flash[stack] = pair
 
     coalescing: dict[str, dict[str, Any]] = {}
-    with timed("coalescing_pairs"):
+    with timer.phase("coalescing_pairs"):
         for stack in ("chord", "hieras"):
             batched_cell = next(
                 c
@@ -297,7 +279,7 @@ def run_bench_serve(
             }
 
     churn: dict[str, Any] = {}
-    with timed("churn_cells"):
+    with timer.phase("churn_cells"):
         for stack in ("chord", "hieras"):
             churn[stack] = run_serve_cell(
                 bundle,
@@ -333,7 +315,6 @@ def run_bench_serve(
         "knee": knee,
     }
 
-    phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
     return {
         "schema": SCHEMA,
         "config": {
@@ -361,7 +342,7 @@ def run_bench_serve(
                 "per_membership_ms": batched.per_membership_ms,
             },
         },
-        "phases": phases,
+        "phases": timer.finish(),
         "metrics": {
             "sweep": sweep,
             "flash": flash,
@@ -371,9 +352,3 @@ def run_bench_serve(
         },
     }
 
-
-def write_bench_serve(doc: dict[str, object], out: str | Path) -> Path:
-    """Write one BENCH_serve document as stable, indented JSON."""
-    path = Path(out)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path

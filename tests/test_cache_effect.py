@@ -16,7 +16,6 @@ from repro.experiments.cache_exp import (
     make_zipf_trace,
     run_bench_cache,
     run_cache_cell,
-    write_bench_cache,
 )
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle
@@ -115,14 +114,6 @@ class TestRunBenchCache:
         # Wall-clock phases exist but stay out of the deterministic block.
         assert set(self.doc["phases"]) == set(again["phases"])
 
-    def test_write_bench_cache(self, tmp_path):
-        out = write_bench_cache(self.doc, tmp_path / "BENCH_cache.json")
-        loaded = json.loads(out.read_text())
-        assert loaded["schema"] == SCHEMA
-        assert loaded["metrics"] == json.loads(
-            json.dumps(self.doc["metrics"])
-        )
-
 
 class TestExperimentRegistration:
     def test_cache_effect_registered(self):
@@ -134,5 +125,7 @@ class TestExperimentRegistration:
 
     def test_cli_lists_cache_bench(self):
         from repro.experiments import cli
+        from repro.experiments.figures import EXPERIMENTS
 
-        assert hasattr(cli, "_cmd_cache_bench")
+        assert EXPERIMENTS["cache_effect"].bench_out == "BENCH_cache.json"
+        assert "cache_effect" in cli._bench_ids()

@@ -9,7 +9,6 @@ from repro.experiments.durability import (
     SCHEMA,
     run_bench_durability,
     run_durability_cell,
-    write_bench_durability,
 )
 from repro.experiments.runner import build_bundle
 from repro.replication import ReplicationPolicy
@@ -138,9 +137,3 @@ class TestBenchDocument:
                     by_key[(replicas, mode, "successor")]
                     == by_key[(replicas, mode, "ring_scoped")]
                 )
-
-    def test_write_bench(self, doc, tmp_path):
-        path = write_bench_durability(doc, tmp_path / "BENCH_durability.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == SCHEMA
-        assert loaded["metrics"] == doc["metrics"]

@@ -1,10 +1,10 @@
-"""Tests for the perf-baseline pipeline and its CLI front-end."""
+"""Tests for the perf-baseline pipeline and its ``bench`` front-end."""
 
 import json
 
 import pytest
 
-from repro.experiments.baseline import SCHEMA, run_perf_baseline, write_baseline
+from repro.experiments.baseline import SCHEMA, run_perf_baseline
 
 
 @pytest.fixture(scope="module")
@@ -51,19 +51,13 @@ class TestPipeline:
         other = run_perf_baseline(n_peers=200, n_requests=400, seed=8)
         assert other["metrics"] != small_doc["metrics"]
 
-    def test_write_is_stable_json(self, small_doc, tmp_path):
-        p1 = write_baseline(small_doc, tmp_path / "a.json")
-        p2 = write_baseline(small_doc, tmp_path / "b.json")
-        assert p1.read_text() == p2.read_text()
-        assert json.loads(p1.read_text())["schema"] == SCHEMA
-
 
 class TestCli:
     def test_perf_baseline_subcommand_writes_artifact(self, tmp_path, monkeypatch, capsys):
         from repro.experiments.cli import main
 
         monkeypatch.chdir(tmp_path)
-        assert main(["perf-baseline", "--out", "BENCH_baseline.json"]) == 0
+        assert main(["bench", "perf_baseline", "--out", "BENCH_baseline.json"]) == 0
         out = capsys.readouterr().out
         assert "wrote BENCH_baseline.json" in out
         doc = json.loads((tmp_path / "BENCH_baseline.json").read_text())

@@ -16,7 +16,7 @@ import pytest
 from repro.engine import batch_route, stream_batch_route
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle, make_trace
-from repro.experiments.scale_exp import SCHEMA, run_bench_scale, write_bench_scale
+from repro.experiments.scale_exp import SCHEMA, run_bench_scale
 from repro.scale import build_scale_bundle, hot_state_bytes, scale_ts_params
 from repro.topology.transit_stub import TransitStubParams
 from repro.util.proc import peak_rss_mb
@@ -172,12 +172,4 @@ class TestBenchScaleDocument:
         again = run_bench_scale(sizes=(192, 320))
         assert json.dumps(doc["metrics"], sort_keys=True) == json.dumps(
             again["metrics"], sort_keys=True
-        )
-
-    def test_write_round_trips(self, doc, tmp_path):
-        path = write_bench_scale(doc, tmp_path / "BENCH_scale.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == SCHEMA
-        assert loaded["metrics"] == json.loads(
-            json.dumps(doc["metrics"], sort_keys=True)
         )

@@ -11,7 +11,6 @@ from repro.experiments.serve_exp import (
     mixed_capacity_per_s,
     run_bench_serve,
     run_serve_cell,
-    write_bench_serve,
 )
 from repro.loadgen import WorkloadMix
 from repro.serve import ServiceConfig
@@ -132,14 +131,6 @@ class TestBenchDocument:
         )
         assert json.dumps(doc["metrics"], sort_keys=True) == json.dumps(
             again["metrics"], sort_keys=True
-        )
-
-    def test_write_round_trips(self, doc, tmp_path):
-        path = write_bench_serve(doc, tmp_path / "BENCH_serve.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == SCHEMA
-        assert loaded["metrics"]["headline"] == json.loads(
-            json.dumps(doc["metrics"]["headline"])
         )
 
 
