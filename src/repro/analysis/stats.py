@@ -8,12 +8,16 @@ and Figures 2/3/6–9 are means over :class:`RouteSample` batches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.dht.base import DHTNetwork
 from repro.util.validation import require
 from repro.workloads.requests import RequestTrace
+
+if TYPE_CHECKING:
+    from repro.engine.result import BatchRouteResult
 
 __all__ = [
     "RouteSample",
@@ -52,6 +56,17 @@ class RouteSample:
 
     def __len__(self) -> int:
         return len(self.hops)
+
+    @classmethod
+    def from_batch(cls, result: BatchRouteResult) -> RouteSample:
+        """The sample view of one batch-route result."""
+        return cls(
+            hops=result.hops,
+            latency_ms=result.latency_ms,
+            low_layer_hops=result.low_layer_hops,
+            top_layer_hops=result.top_layer_hops,
+            low_layer_latency_ms=result.low_layer_latency_ms(),
+        )
 
     @property
     def mean_hops(self) -> float:
@@ -93,56 +108,17 @@ class RouteSample:
         return float(lat / hops) if hops else 0.0
 
 
-def collect_routes(
-    network: DHTNetwork, trace: RequestTrace, *, engine: str = "batch"
-) -> RouteSample:
+def collect_routes(network: DHTNetwork, trace: RequestTrace) -> RouteSample:
     """Run every request of ``trace`` through ``network``.
 
-    Per-hop latencies are recomputed from each path so the low-layer
-    latency split is exact.
-
-    ``engine="batch"`` (default) routes the whole trace through the
-    vectorized frontier engine (:mod:`repro.engine`) whenever the
-    network supports it and no span tracing is attached; the sample is
-    bit-identical to the scalar loop (same hop counts, exact float
-    equality on latencies), just much faster.  ``engine="scalar"``
-    forces the per-request loop.
+    One :func:`~repro.engine.batch_route` call: the vectorized kernels
+    on Chord/HIERAS, the per-request loop on every other stack.  The
+    low-layer latency split is exact either way (a prefix sum of the
+    per-hop link delays).
     """
-    from repro.engine import batch_route, supports_batch
+    from repro.engine import batch_route
 
-    require(engine in ("batch", "scalar"), f"unknown engine {engine!r}")
-    if engine == "batch" and supports_batch(network):
-        result = batch_route(network, trace.sources, trace.keys)
-        return RouteSample(
-            hops=result.hops,
-            latency_ms=result.latency_ms,
-            low_layer_hops=result.low_layer_hops,
-            top_layer_hops=result.top_layer_hops,
-            low_layer_latency_ms=result.low_layer_latency_ms(),
-        )
-    n = len(trace)
-    hops = np.zeros(n, dtype=np.int64)
-    latency = np.zeros(n, dtype=np.float64)
-    low_hops = np.zeros(n, dtype=np.int64)
-    top_hops = np.zeros(n, dtype=np.int64)
-    low_latency = np.zeros(n, dtype=np.float64)
-    lat_model = getattr(network, "latency", None)
-    for i, (source, key) in enumerate(trace):
-        result = network.route(int(source), int(key))
-        hops[i] = result.hops
-        latency[i] = result.latency_ms
-        low_hops[i] = result.low_layer_hops
-        top_hops[i] = result.top_layer_hops
-        if lat_model is not None and result.low_layer_hops and len(result.path) > 1:
-            path = np.asarray(result.path[: result.low_layer_hops + 1], dtype=np.int64)
-            low_latency[i] = float(lat_model.pairs(path[:-1], path[1:]).sum())
-    return RouteSample(
-        hops=hops,
-        latency_ms=latency,
-        low_layer_hops=low_hops,
-        top_layer_hops=top_hops,
-        low_layer_latency_ms=low_latency,
-    )
+    return RouteSample.from_batch(batch_route(network, trace.sources, trace.keys))
 
 
 def summarize(values: np.ndarray) -> dict[str, float]:

@@ -21,6 +21,7 @@ protocol stack still performs it explicitly to avoid sending messages).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -583,7 +584,7 @@ class HierasNetwork(DHTNetwork):
         can hold.
         """
         ring = self.ring_of(peer, self.depth)
-        pos = int(self._pos_in_ring[self.depth - 2, peer])
+        pos = int(self.ring_position(peer, self.depth))
         return [int(ring.peers[p]) for p in ring.successor_list(pos, r)]
 
     # ------------------------------------------------------------------
@@ -592,6 +593,27 @@ class HierasNetwork(DHTNetwork):
     def owner_of(self, key: int) -> int:
         """Peer responsible for ``key`` — the global successor."""
         return int(self.global_ring.peers[self.global_ring.successor_pos(key)])
+
+    def successor_list_width(self, layer: int) -> int:
+        """Successor-list entries the layer-``layer`` loop may shortcut to.
+
+        Applies ``successor_list_policy``: ``"transitions"`` leaves the
+        cold lowest loop on fingers alone, ``"off"`` never shortcuts.
+        """
+        if self.successor_list_policy == "off":
+            return 0
+        if self.successor_list_policy == "transitions" and layer == self.depth:
+            return 0  # cold lowest loop: fingers only, like flat Chord
+        return self.successor_list_r
+
+    def ring_position(self, peers: Any, layer: int) -> Any:
+        """Position of ``peers`` in their layer-``layer`` ring (-1 if dead).
+
+        ``peers`` is one peer index or an index array; so is the result.
+        """
+        if layer == 1:
+            return self._pos_global[peers]
+        return self._pos_in_ring[layer - 2, peers]
 
     def route(self, source: int, key: int) -> RouteResult:
         """Bottom-up hierarchical routing of ``key`` from ``source``.
@@ -612,18 +634,11 @@ class HierasNetwork(DHTNetwork):
         hops_per_layer: list[int] = []
         for layer in range(self.depth, 0, -1):
             ring = self.ring_of(cur, layer)
-            pos = (
-                int(self._pos_global[cur])
-                if layer == 1
-                else int(self._pos_in_ring[layer - 2, cur])
+            sub = ring.predecessor_route(
+                int(self.ring_position(cur, layer)),
+                key,
+                succ_list_r=self.successor_list_width(layer),
             )
-            if self.successor_list_policy == "off":
-                r = 0
-            elif self.successor_list_policy == "transitions" and layer == self.depth:
-                r = 0  # cold lowest loop: fingers only, like flat Chord
-            else:
-                r = self.successor_list_r
-            sub = ring.predecessor_route(pos, key, succ_list_r=r)
             hops = len(sub) - 1
             for p in sub[1:]:
                 path.append(int(ring.peers[p]))
@@ -680,11 +695,7 @@ class HierasNetwork(DHTNetwork):
         ok = True
         for layer in range(self.depth, 0, -1):
             ring = self.ring_of(cur, layer)
-            pos = (
-                int(self._pos_global[cur])
-                if layer == 1
-                else int(self._pos_in_ring[layer - 2, cur])
-            )
+            pos = int(self.ring_position(cur, layer))
             max_hops = 2 * max(len(ring).bit_length(), 4) + fallback_r
             sub, sub_ok = lossy_ring_route(
                 ring,
@@ -744,13 +755,7 @@ class HierasNetwork(DHTNetwork):
     # ------------------------------------------------------------------
     def finger_table(self, peer: int, layer: int) -> list[FingerEntry]:
         """Materialised finger table of ``peer`` in one layer's ring."""
-        ring = self.ring_of(peer, layer)
-        pos = (
-            int(self._pos_global[peer])
-            if layer == 1
-            else int(self._pos_in_ring[layer - 2, peer])
-        )
-        return ring.finger_table(pos)
+        return self.ring_of(peer, layer).finger_table(int(self.ring_position(peer, layer)))
 
     def table2_rows(self, peer: int) -> list[LayeredFingerRow]:
         """The paper's Table 2 for ``peer``: fingers across all layers.

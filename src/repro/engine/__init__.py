@@ -10,18 +10,19 @@ rule.  Chord's O(log N) hop bound means the frontier loop terminates in
 overhead disappears from sweep and benchmark wall-clock.
 
 The contract is **bit-identical semantics**: :func:`batch_route`
-produces the same owners, paths, hop counts and latencies (exact float
-equality) as calling ``network.route()`` per request — enforced by the
-property tests in ``tests/test_engine.py`` and relied on by the
-experiment layer, which defaults to the batch engine whenever no span
-tracing is attached (see :func:`supports_batch`).
+produces the same owners, paths, hop counts, latencies (exact float
+equality) and — with tracing attached — spans as calling
+``network.route()`` per request.  :func:`batch_route` is the one
+dispatch: it runs the kernels on the exact Chord/HIERAS classes (see
+:func:`supports_batch`) and :func:`scalar_batch_route` on every other
+stack; :func:`scalar_batch_route` is also the oracle the property tests
+in ``tests/test_engine.py`` pin the kernels to.
 """
 
 from repro.engine.batch import (
     batch_route,
     batch_route_chord,
     batch_route_hieras,
-    replay_spans,
     scalar_batch_route,
     supports_batch,
 )
@@ -36,7 +37,6 @@ __all__ = [
     "batch_route_chord",
     "batch_route_hieras",
     "closest_preceding_fingers",
-    "replay_spans",
     "route_cohort",
     "scalar_batch_route",
     "stream_batch_route",

@@ -1,4 +1,4 @@
-"""Batch routers for the trace-driven stacks, plus the dispatch knob.
+"""Batch routers for the trace-driven stacks, and the one engine dispatch.
 
 ``batch_route_chord`` runs one greedy frontier over the flat ring;
 ``batch_route_hieras`` runs the §3.2 bottom-up procedure layer by
@@ -7,11 +7,15 @@ ring's cohort with the shared predecessor-stop kernel, then handing
 survivors to the next layer — and takes the final explicit owner hop
 on the global ring, exactly like the scalar ``HierasNetwork.route``.
 
-``batch_route`` is the experiment-facing entry point: it dispatches to
-the vectorized kernels when the network supports them and no span
-tracing is attached, and otherwise falls back to per-request scalar
-``route()`` calls (which record spans normally), so callers get the
-identical :class:`~repro.engine.result.BatchRouteResult` either way.
+``batch_route`` is the entry point every caller uses, and the only
+place an engine is chosen: the exact ``ChordNetwork``/``HierasNetwork``
+types run the vectorized kernels, every other stack runs
+:func:`scalar_batch_route` (per-request ``route()`` calls).  With a span
+recorder attached, the kernels still run and each lane's span is then
+replayed through the network's own ``record_route``, so the recorded
+spans are the ones per-request routing would have emitted.
+:func:`scalar_batch_route` doubles as the test oracle the kernels are
+pinned bit-identical to.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ __all__ = [
     "batch_route",
     "batch_route_chord",
     "batch_route_hieras",
-    "replay_spans",
     "scalar_batch_route",
     "supports_batch",
 ]
@@ -91,14 +94,12 @@ class _HopLog:
 
 
 def supports_batch(network: DHTNetwork) -> bool:
-    """Whether ``batch_route`` may use the vectorized kernels.
+    """Whether ``batch_route`` runs the vectorized kernels on ``network``.
 
-    True only for the exact trace-driven classes (subclasses may
-    override ``route`` semantics) with **no span recorder attached**:
-    the batch kernels bypass per-lookup span recording, so an attached
-    ``metrics`` slot triggers the automatic scalar fallback instead.
+    True only for the exact trace-driven classes: subclasses may
+    override ``route`` semantics, so they take the scalar loop.
     """
-    return type(network) in (ChordNetwork, HierasNetwork) and network.metrics is None
+    return type(network) in (ChordNetwork, HierasNetwork)
 
 
 def _request_arrays(
@@ -120,8 +121,8 @@ def batch_route_chord(
 ) -> BatchRouteResult:
     """Vectorized equivalent of ``ChordNetwork.route`` per lane.
 
-    Bypasses span recording (see :func:`batch_route` for the tracing
-    fallback); all result fields are bit-identical to the scalar path.
+    Records no spans (:func:`batch_route` replays them when tracing is
+    on); all result fields are bit-identical to the scalar path.
     """
     src, keys_w = _request_arrays(net, sources, keys)
     if len(src):
@@ -157,15 +158,6 @@ def batch_route_chord(
     )
 
 
-def _succ_list_r(net: HierasNetwork, layer: int) -> int:
-    """Per-layer shortcut width, mirroring ``HierasNetwork.route``."""
-    if net.successor_list_policy == "off":
-        return 0
-    if net.successor_list_policy == "transitions" and layer == net.depth:
-        return 0  # cold lowest loop: fingers only, like flat Chord
-    return net.successor_list_r
-
-
 def batch_route_hieras(
     net: HierasNetwork,
     sources: object,
@@ -190,7 +182,7 @@ def batch_route_hieras(
 
     for layer in range(net.depth, 1, -1):
         col = net.depth - layer
-        r = _succ_list_r(net, layer)
+        r = net.successor_list_width(layer)
         k = layer - 2
         codes = net._ring_of_peer[k, log.cur_peer]
         for code in np.unique(codes):
@@ -212,7 +204,7 @@ def batch_route_hieras(
 
             route_cohort(
                 ring,
-                net._pos_in_ring[k, log.cur_peer[lanes]],
+                net.ring_position(log.cur_peer[lanes], layer),
                 keys_w[lanes],
                 to_owner=False,
                 succ_list_r=r,
@@ -236,10 +228,10 @@ def batch_route_hieras(
 
     route_cohort(
         ring,
-        net._pos_global[log.cur_peer],
+        net.ring_position(log.cur_peer, 1),
         keys_w,
         to_owner=False,
-        succ_list_r=_succ_list_r(net, 1),
+        succ_list_r=net.successor_list_width(1),
         sink=global_sink,
     )
     owner_pos = np.searchsorted(ring.ids, keys_w, side="left").astype(np.int64)
@@ -271,8 +263,9 @@ def scalar_batch_route(
 ) -> BatchRouteResult:
     """Per-request ``route()`` calls packed into a ``BatchRouteResult``.
 
-    The fallback engine: works for every stack (and records spans
-    normally when tracing is attached).  Per-hop latency rows are
+    The engine for every stack without a kernel, and the oracle the
+    kernels are tested against; ``route()`` records spans itself when
+    tracing is attached.  Per-hop latency rows are
     recomputed from each path with one bulk ``pairs`` call, which
     yields the same elementwise values the scalar route summed.
     """
@@ -327,38 +320,41 @@ def batch_route(
     keys: object,
     *,
     paths: bool = False,
-    engine: str = "batch",
 ) -> BatchRouteResult:
     """Route a batch of lookups through ``network``.
 
-    ``engine="batch"`` (default) uses the vectorized kernels whenever
-    :func:`supports_batch` allows — i.e. on the exact trace-driven
-    classes with no span recorder attached — and silently falls back to
-    per-request scalar routing otherwise (so attached tracing keeps
-    recording every span).  ``engine="scalar"`` forces the fallback.
-    Results are bit-identical either way.
+    Runs the vectorized kernels when :func:`supports_batch` allows and
+    :func:`scalar_batch_route` otherwise; results are bit-identical
+    either way.  With a span recorder attached, the kernel lanes are
+    routed with paths and replayed as spans; the returned result keeps
+    ``paths`` only when the caller asked for them.
     """
-    require(engine in ("batch", "scalar"), f"unknown engine {engine!r}")
-    if engine == "batch" and supports_batch(network):
-        if isinstance(network, HierasNetwork):
-            return batch_route_hieras(network, sources, keys, paths=paths)
+    if not supports_batch(network):
+        return scalar_batch_route(network, sources, keys, paths=paths)
+    traced = network.metrics is not None
+    if isinstance(network, HierasNetwork):
+        label = "hieras"
+        result = batch_route_hieras(network, sources, keys, paths=paths or traced)
+    else:
         assert isinstance(network, ChordNetwork)
-        return batch_route_chord(network, sources, keys, paths=paths)
-    return scalar_batch_route(network, sources, keys, paths=paths)
+        label = "chord"
+        result = batch_route_chord(network, sources, keys, paths=paths or traced)
+    if traced:
+        _replay_spans(network, result, label=label)
+        if not paths:
+            result.paths = None
+    return result
 
 
-def replay_spans(network: DHTNetwork, result: BatchRouteResult, *, label: str) -> None:
+def _replay_spans(network: DHTNetwork, result: BatchRouteResult, *, label: str) -> None:
     """Record one span per lane through the network's attached recorder.
 
-    Bridges batch routing and the metrics layer: each lane is rebuilt
-    as its scalar ``RouteResult`` (requires materialized paths) and fed
-    through the network's own ``record_route``/``hop_layer_info``, so
-    the emitted spans — and every downstream sink/registry aggregate —
-    are identical to what per-request scalar routing would have
-    produced.
+    Each lane is rebuilt as its scalar ``RouteResult`` (requires
+    materialized paths) and fed through the network's own
+    ``record_route``/``hop_layer_info``, so the emitted spans — and
+    every downstream sink/registry aggregate — are identical to what
+    per-request scalar routing would have produced.
     """
-    require(network.metrics is not None, "no span recorder attached")
-    require(result.paths is not None, "replaying spans requires paths=True")
     for lane in range(len(result)):
         rr = result.to_route_result(lane)
         layers, rings = network.hop_layer_info(rr)

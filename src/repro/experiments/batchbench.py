@@ -2,7 +2,8 @@
 
 One run builds a deployment per network size, routes the same seeded
 trace through both trace-driven stacks twice — once with the scalar
-per-request loop, once through :mod:`repro.engine`'s frontier-stepped
+oracle :func:`~repro.engine.scalar_batch_route` (per-request
+``route()`` calls), once through :mod:`repro.engine`'s frontier-stepped
 batch kernels — and writes ``BENCH_batchroute.json`` in the
 ``BENCH_baseline.json`` convention:
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.stats import RouteSample, collect_routes
+from repro.engine import scalar_batch_route
 from repro.experiments.bench import PhaseTimer
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle, make_trace
@@ -81,9 +83,11 @@ def run_bench_batchroute(
         for stack, network in (("chord", bundle.chord), ("hieras", bundle.hieras)):
             name = f"{stack}_n{n_peers}"
             with timer.phase(name, key="scalar_wall_ms"):
-                scalar = collect_routes(network, trace, engine="scalar")
+                scalar = RouteSample.from_batch(
+                    scalar_batch_route(network, trace.sources, trace.keys)
+                )
             with timer.phase(name, key="batch_wall_ms") as phase:
-                batch = collect_routes(network, trace, engine="batch")
+                batch = collect_routes(network, trace)
             scalar_ms, batch_ms = phase["scalar_wall_ms"], phase["batch_wall_ms"]
             phase["scalar_lookups_per_s"] = n_requests / (scalar_ms / 1000.0)
             phase["batch_lookups_per_s"] = n_requests / (batch_ms / 1000.0)

@@ -85,7 +85,6 @@ def run_cache_cell(
     policy: CachePolicy,
     churn_fraction: float = 0.0,
     seed: int = 0,
-    engine: str = "batch",
 ) -> dict[str, float]:
     """Replay one trace through one cached stack; returns cell metrics.
 
@@ -98,8 +97,8 @@ def run_cache_cell(
     owners are then evicted on failed contact and lookups fall back to
     failure-aware routing.
 
-    ``engine="batch"`` accelerates only the uncached baselines
-    (``capacity=0``, no churn): with no cache state every lookup is an
+    The uncached baselines (``capacity=0``, no churn) over a kernel
+    stack skip the loop: with no cache state every lookup is an
     independent miss, so the cell reduces to one vectorized
     :func:`~repro.engine.batch_route` call plus the same accounting.
     Cells with an actual cache (or churn) stay on the scalar loop —
@@ -107,12 +106,7 @@ def run_cache_cell(
     """
     inner = bundle.chord if stack == "chord" else bundle.hieras
     net = CachedNetwork(inner, policy)
-    if (
-        engine == "batch"
-        and policy.capacity == 0
-        and churn_fraction == 0.0
-        and supports_batch(inner)
-    ):
+    if policy.capacity == 0 and churn_fraction == 0.0 and supports_batch(inner):
         return _run_uncached_cell_batch(net, trace)
     n_requests = len(trace)
     injector: FaultInjector | None = None
@@ -214,17 +208,13 @@ def run_bench_cache(
     capacities: tuple[int, ...] = (4, 16, 64),
     exponents: tuple[float, ...] = (0.7, 0.95, 1.2),
     churn_fraction: float = 0.15,
-    engine: str = "batch",
 ) -> dict[str, object]:
     """Run the full sweep once; returns the BENCH_cache document.
 
     Sweep shape (per stack): every exponent × capacity fault-free, plus
     — at the headline exponent — the churn cells and one TTL+LRU cell.
     Each (exponent, stack) group carries its own ``capacity=0`` baseline
-    replaying the identical trace, so reductions are paired.  ``engine``
-    selects the routing engine for the uncached baselines (see
-    :func:`run_cache_cell`); the ``metrics`` section is bit-identical
-    either way.
+    replaying the identical trace, so reductions are paired.
     """
     if n_peers is None:
         n_peers = 4000 if full else 1000
@@ -269,9 +259,7 @@ def run_bench_cache(
                     catalog_size=catalog_size, zipf_exponent=exponent,
                 )
                 off = CachePolicy(capacity=0)
-                base = run_cache_cell(
-                    bundle, trace, stack=stack, policy=off, engine=engine
-                )
+                base = run_cache_cell(bundle, trace, stack=stack, policy=off)
                 cells.append(cell_row(stack, exponent, off, base))
                 for capacity in capacities:
                     policy = CachePolicy(capacity=capacity)
@@ -346,7 +334,6 @@ def run_bench_cache(
             "churn_fraction": churn_fraction,
             "headline_exponent": HEADLINE_EXPONENT,
             "headline_capacity": HEADLINE_CAPACITY,
-            "engine": engine,
         },
         "phases": timer.finish(),
         "metrics": {"cells": cells, "headline": headline},

@@ -28,7 +28,7 @@ import gc
 
 import numpy as np
 
-from repro.engine.batch import batch_route
+from repro.engine.batch import batch_route, scalar_batch_route
 from repro.engine.stream import stream_batch_route
 from repro.experiments.bench import PhaseTimer
 from repro.experiments.config import SimConfig
@@ -159,24 +159,11 @@ def run_bench_scale(
         engines_agree = None
         if n_peers == min(sizes):
             probe = min(2000, n_lookups)
-            batch = batch_route(
-                bundle.chord, trace.sources[:probe], trace.keys[:probe]
-            )
-            scalar = batch_route(
-                bundle.chord,
-                trace.sources[:probe],
-                trace.keys[:probe],
-                engine="scalar",
-            )
-            batch_h = batch_route(
-                bundle.hieras, trace.sources[:probe], trace.keys[:probe]
-            )
-            scalar_h = batch_route(
-                bundle.hieras,
-                trace.sources[:probe],
-                trace.keys[:probe],
-                engine="scalar",
-            )
+            head = (trace.sources[:probe], trace.keys[:probe])
+            batch = batch_route(bundle.chord, *head)
+            scalar = scalar_batch_route(bundle.chord, *head)
+            batch_h = batch_route(bundle.hieras, *head)
+            scalar_h = scalar_batch_route(bundle.hieras, *head)
             engines_agree = bool(
                 np.array_equal(batch.owner, scalar.owner)
                 and np.array_equal(batch.hops, scalar.hops)

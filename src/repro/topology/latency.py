@@ -456,7 +456,6 @@ def latency_model_for(
     *,
     streaming_threshold_bytes: int = 1 << 30,
     streaming_cache_bytes: int = 4 << 30,
-    **kwargs: object,
 ) -> LatencyModel:
     """Pick the best latency model for a topology.
 
@@ -490,10 +489,7 @@ def latency_model_for(
             )
         return TransitStubLatencyModel(topology)
     if topology.n_routers**2 * 2 > streaming_threshold_bytes:
-        chunk = int(kwargs.pop("chunk", 1024))  # type: ignore[call-overload]
-        row_block_bytes = chunk * topology.n_routers * 2
+        row_block_bytes = 1024 * topology.n_routers * 2  # default 1024-row chunk
         cache_blocks = max(4, streaming_cache_bytes // max(row_block_bytes, 1))
-        return StreamingAPSPLatencyModel(
-            topology, chunk=chunk, cache_blocks=cache_blocks, **kwargs  # type: ignore[arg-type]
-        )
-    return APSPLatencyModel(topology, **kwargs)  # type: ignore[arg-type]
+        return StreamingAPSPLatencyModel(topology, cache_blocks=cache_blocks)
+    return APSPLatencyModel(topology)

@@ -10,7 +10,7 @@ with no tolerance.
 import numpy as np
 import pytest
 
-from repro.analysis.stats import collect_routes
+from repro.analysis.stats import RouteSample, collect_routes
 from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
 from repro.dht.chord import ChordNetwork
@@ -22,7 +22,7 @@ from repro.engine import (
     supports_batch,
 )
 from repro.metrics.registry import MetricsRegistry
-from repro.metrics.sinks import SummarySink
+from repro.metrics.sinks import JsonlSink
 from repro.metrics.spans import SpanRecorder
 from repro.topology.latency import CoordinateLatencyModel
 from repro.util.ids import IdSpace
@@ -181,26 +181,20 @@ class TestResultShape:
         with pytest.raises(ValueError):
             batch_route(chord, sources, keys)
 
-    def test_unknown_engine_rejected(self):
-        chord, _ = build_pair(n=30, seed=1)
-        sources, keys = make_requests(chord, 4, 1)
-        with pytest.raises(ValueError):
-            batch_route(chord, sources, keys, engine="gpu")
+
+def _traced_jsonl(net, path, route_all):
+    """The JSONL span bytes ``route_all()`` records on ``net``."""
+    sink = JsonlSink(path)
+    net.enable_tracing(SpanRecorder(registry=MetricsRegistry(), sinks=[sink]))
+    try:
+        route_all()
+    finally:
+        net.disable_tracing()
+        sink.close()
+    return path.read_bytes()
 
 
 class TestFallback:
-    def test_supports_batch_flips_with_tracing(self):
-        chord, hieras = build_pair(n=40, seed=8)
-        for net in (chord, hieras):
-            assert supports_batch(net)
-            recorder = SpanRecorder(registry=MetricsRegistry(), sinks=[SummarySink()])
-            net.enable_tracing(recorder)
-            try:
-                assert not supports_batch(net)
-            finally:
-                net.disable_tracing()
-            assert supports_batch(net)
-
     def test_subclass_not_batchable(self):
         class WeirdChord(ChordNetwork):
             def route(self, source, key):  # pragma: no cover - marker only
@@ -211,17 +205,62 @@ class TestFallback:
         net = WeirdChord(space, space.sample_unique_ids(20, rng))
         assert not supports_batch(net)
 
-    def test_batch_route_falls_back_when_traced(self):
-        chord, _ = build_pair(n=40, seed=8)
-        sources, keys = make_requests(chord, 50, 8)
-        want = batch_route(chord, sources, keys, paths=True)
-        recorder = SpanRecorder(registry=MetricsRegistry(), sinks=[SummarySink()])
-        chord.enable_tracing(recorder)
-        try:
-            got = batch_route(chord, sources, keys, paths=True)
-        finally:
-            chord.disable_tracing()
-        assert_identical(got, want)
+
+class TestTracedBatch:
+    """Tracing keeps the kernel and replays per-request-identical spans."""
+
+    @pytest.mark.parametrize(
+        "stack, depth, policy",
+        [("chord", 2, "transitions")]
+        + [
+            ("hieras", depth, policy)
+            for depth in (2, 3)
+            for policy in ("transitions", "always", "off")
+        ],
+    )
+    def test_traced_batch_spans_match_route_loop(self, tmp_path, stack, depth, policy):
+        chord, hieras = build_pair(
+            n=70, depth=depth, seed=8, successor_list_r=6,
+            successor_list_policy=policy,
+        )
+        net = chord if stack == "chord" else hieras
+        sources, keys = make_requests(net, 120, 8)
+        results = []
+
+        def traced_batch():
+            results.append(batch_route(net, sources, keys))
+
+        def route_loop():
+            for s, k in zip(sources.tolist(), keys.tolist()):
+                net.route(s, k)
+
+        batch_bytes = _traced_jsonl(net, tmp_path / "batch.jsonl", traced_batch)
+        loop_bytes = _traced_jsonl(net, tmp_path / "loop.jsonl", route_loop)
+        assert batch_bytes.count(b"\n") == len(sources)
+        assert batch_bytes == loop_bytes
+        (result,) = results
+        assert result.paths is None  # paths were routed for the replay only
+        assert_identical(result, scalar_batch_route(net, sources, keys))
+
+    @pytest.mark.parametrize("stack", ["chord", "hieras"])
+    def test_traced_batch_route_runs_the_kernel(self, tmp_path, monkeypatch, stack):
+        chord, hieras = build_pair(n=60, depth=3, seed=8)
+        net = chord if stack == "chord" else hieras
+        sources, keys = make_requests(net, 50, 8)
+        want = scalar_batch_route(net, sources, keys, paths=True)
+
+        def refuse(self, source, key):
+            raise AssertionError("traced batch_route fell back to route()")
+
+        monkeypatch.setattr(type(net), "route", refuse)
+        got = []
+        spans = _traced_jsonl(
+            net,
+            tmp_path / "spans.jsonl",
+            lambda: got.append(batch_route(net, sources, keys, paths=True)),
+        )
+        assert spans.count(b"\n") == len(sources)
+        assert_identical(got[0], want)
 
 
 class TestExperimentWiring:
@@ -233,39 +272,45 @@ class TestExperimentWiring:
             300, chord.n_peers, chord.space, seed=np.random.default_rng(13)
         )
         for net in (chord, hieras):
-            a = collect_routes(net, trace, engine="scalar")
-            b = collect_routes(net, trace, engine="batch")
+            a = RouteSample.from_batch(
+                scalar_batch_route(net, trace.sources, trace.keys)
+            )
+            b = collect_routes(net, trace)
             assert np.array_equal(a.hops, b.hops)
             assert np.array_equal(a.latency_ms, b.latency_ms)
             assert np.array_equal(a.low_layer_hops, b.low_layer_hops)
             assert np.array_equal(a.top_layer_hops, b.top_layer_hops)
             assert np.array_equal(a.low_layer_latency_ms, b.low_layer_latency_ms)
 
-    def test_perf_baseline_metrics_identical_across_engines(self):
+    def test_perf_baseline_metrics_identical_across_engines(self, monkeypatch):
+        from repro.engine import batch as engine_batch
         from repro.experiments.baseline import run_perf_baseline
 
-        a = run_perf_baseline(seed=3, n_peers=220, n_requests=300, engine="scalar")
-        b = run_perf_baseline(seed=3, n_peers=220, n_requests=300, engine="batch")
+        b = run_perf_baseline(seed=3, n_peers=220, n_requests=300)
+        # Force batch_route onto scalar_batch_route: traced route() calls.
+        monkeypatch.setattr(engine_batch, "supports_batch", lambda net: False)
+        a = run_perf_baseline(seed=3, n_peers=220, n_requests=300)
         assert a["metrics"] == b["metrics"]
 
-    def test_cache_uncached_cell_identical_across_engines(self):
+    def test_cache_uncached_cell_identical_across_engines(self, monkeypatch):
         from repro.cache import CachePolicy
-        from repro.experiments.cache_exp import make_zipf_trace, run_cache_cell
+        from repro.experiments import cache_exp
         from repro.experiments.config import SimConfig
         from repro.experiments.runner import build_bundle
 
         bundle = build_bundle(
             SimConfig(model="ts", n_peers=260, n_landmarks=4, depth=2, seed=6)
         )
-        trace = make_zipf_trace(bundle, 500, catalog_size=200, zipf_exponent=0.95)
+        trace = cache_exp.make_zipf_trace(
+            bundle, 500, catalog_size=200, zipf_exponent=0.95
+        )
         off = CachePolicy(capacity=0)
         for stack in ("chord", "hieras"):
-            a = run_cache_cell(
-                bundle, trace, stack=stack, policy=off, engine="scalar"
-            )
-            b = run_cache_cell(
-                bundle, trace, stack=stack, policy=off, engine="batch"
-            )
+            b = cache_exp.run_cache_cell(bundle, trace, stack=stack, policy=off)
+            with monkeypatch.context() as m:
+                # Force the per-request cache loop the fast path replaces.
+                m.setattr(cache_exp, "supports_batch", lambda net: False)
+                a = cache_exp.run_cache_cell(bundle, trace, stack=stack, policy=off)
             assert a == b
 
     def test_bench_batchroute_document(self):
