@@ -32,7 +32,7 @@ Quickstart
 True
 """
 
-from repro._facade import NetworkBundle, quick_network
+from repro._facade import quick_network
 from repro.version import __version__
 
-__all__ = ["__version__", "quick_network", "NetworkBundle"]
+__all__ = ["__version__", "quick_network"]

@@ -1,58 +1,22 @@
 """Convenience facade: build a ready-to-route HIERAS network in one call.
 
-Most users start with :func:`quick_network`; it wires together a
-transit-stub topology, overlay attachment, landmark placement, binning
-and a two-layer HIERAS network, returning everything as a
-:class:`NetworkBundle`.  Everything the facade does can be done (and is
-documented) piecewise in the underlying packages — this is sugar, not
-the only entry point.
+Most users start with :func:`quick_network`; it runs the repo's one
+deployment build (:func:`repro.scale.build_scale_bundle`: transit-stub
+topology, overlay attachment, landmark placement, binning, Chord and
+HIERAS) and returns its
+:class:`~repro.scale.bundle.SimulationBundle`.  Everything the facade
+does can be done (and is documented) piecewise in the underlying
+packages — this is sugar, not the only entry point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.util.rng import RngFactory
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.hieras import HierasNetwork
-    from repro.dht.base import RouteResult
-    from repro.dht.chord import ChordNetwork
-    from repro.topology.attach import OverlayAttachment, PeerLatencyView
-    from repro.topology.base import Topology
+    from repro.scale.bundle import SimulationBundle
 
-__all__ = ["NetworkBundle", "quick_network"]
-
-
-@dataclass
-class NetworkBundle:
-    """A fully wired simulation: topology, overlay and both DHTs.
-
-    Attributes
-    ----------
-    topology / attachment / peer_latency:
-        The substrate: router graph, peer→router placement, and the
-        peer-indexed latency view.
-    chord:
-        Flat Chord network over the same peers (the paper's baseline).
-    hieras:
-        The HIERAS network (the paper's contribution).
-    """
-
-    topology: "Topology"
-    attachment: "OverlayAttachment"
-    peer_latency: "PeerLatencyView"
-    chord: "ChordNetwork"
-    hieras: "HierasNetwork"
-
-    def route(self, source: int, key: int) -> "RouteResult":
-        """Route ``key`` from ``source`` through HIERAS."""
-        return self.hieras.route(source, key)
-
-    def route_chord(self, source: int, key: int) -> "RouteResult":
-        """Route ``key`` from ``source`` through flat Chord."""
-        return self.chord.route(source, key)
+__all__ = ["quick_network"]
 
 
 def quick_network(
@@ -63,13 +27,14 @@ def quick_network(
     seed: int = 0,
     bits: int = 32,
     model: str = "ts",
-) -> NetworkBundle:
+) -> SimulationBundle:
     """Build a small HIERAS network ready for routing.
 
     Parameters mirror the paper's defaults: 4 landmark nodes, a
     two-layer hierarchy, and the transit-stub topology (§4.1); ``model``
     selects ``"ts"``, ``"inet"`` or ``"brite"`` (Inet requires
-    ``n_peers * 1.25 >= 3000``, the generator's floor).
+    ``n_peers * 1.25 >= 3000``, the generator's floor).  Landmarks are
+    placed max–min ("spread") on every model.
 
     Examples
     --------
@@ -78,49 +43,18 @@ def quick_network(
     >>> r.latency_ms <= bundle.route_chord(source=5, key=99).latency_ms * 3
     True
     """
-    # Imported here so `import repro` stays light and the facade module
-    # can be imported while the heavier packages are being built/tested.
-    from repro.core.binning import BinningScheme
-    from repro.core.hieras import HierasNetwork
-    from repro.dht.chord import ChordNetwork
-    from repro.topology.attach import OverlayAttachment, attach_overlay, place_landmarks
-    from repro.topology.brite import BriteParams, generate_brite
-    from repro.topology.inet import InetParams, generate_inet
-    from repro.topology.latency import latency_model_for
-    from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
-    from repro.util.ids import IdSpace
-    from repro.util.validation import require
+    # Imported here so `import repro` stays light.
+    from repro.experiments.config import SimConfig
+    from repro.scale.bundle import build_scale_bundle
 
-    require(model in ("ts", "inet", "brite"), f"unknown model {model!r}")
-    rngs = RngFactory(seed)
-    n_routers = max(64, int(n_peers * 1.25))
-    if model == "ts":
-        params = TransitStubParams.for_size(n_routers)
-        topology = generate_transit_stub(params, seed=rngs.get("topology"))
-    elif model == "inet":
-        topology = generate_inet(InetParams(n_nodes=n_routers), seed=rngs.get("topology"))
-    else:
-        topology = generate_brite(BriteParams(n_nodes=n_routers), seed=rngs.get("topology"))
-    model = latency_model_for(topology)
-    routers = attach_overlay(topology, n_peers, seed=rngs.get("attach"))
-    landmarks = place_landmarks(topology, model, n_landmarks, seed=rngs.get("landmarks"))
-    attachment = OverlayAttachment(topology, routers, landmarks)
-    peer_latency = attachment.peer_latency(model)
-
-    space = IdSpace(bits=bits)
-    node_ids = space.sample_unique_ids(n_peers, rngs.get("node-ids"))
-    chord = ChordNetwork(space, node_ids, latency=peer_latency)
-
-    distances = attachment.landmark_distances(model)
-    binning = BinningScheme.default_for_depth(depth)
-    orders = binning.orders(distances)
-    hieras = HierasNetwork(
-        space, node_ids, latency=peer_latency, landmark_orders=orders, depth=depth
-    )
-    return NetworkBundle(
-        topology=topology,
-        attachment=attachment,
-        peer_latency=peer_latency,
-        chord=chord,
-        hieras=hieras,
+    return build_scale_bundle(
+        SimConfig(
+            model=model,
+            n_peers=n_peers,
+            n_landmarks=n_landmarks,
+            depth=depth,
+            seed=seed,
+            bits=bits,
+            landmark_strategy="spread",
+        )
     )

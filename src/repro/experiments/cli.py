@@ -23,9 +23,10 @@ Subcommands
     ``repro.experiments.bench``.
 
 ``run`` additionally drops one ``metrics_<id>.json`` artifact per
-experiment (structured result data; directory overridable via
-``REPRO_ARTIFACT_DIR``) so CI can collect machine-readable outputs
-alongside the printed reports.
+experiment (structured result data without wall times, so same-seed
+runs byte-compare; directory overridable via ``REPRO_ARTIFACT_DIR``)
+so CI can collect machine-readable outputs alongside the printed
+reports.
 """
 
 from __future__ import annotations
@@ -51,37 +52,39 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_metrics_artifact(result, *, full: bool, seed: int, wall_s: float) -> None:
+def _write_metrics_artifact(result, *, full: bool, seed: int) -> None:
     """Drop one machine-readable artifact per finished experiment.
 
     Written to ``REPRO_ARTIFACT_DIR`` (default: cwd, gitignored) so CI
-    can upload the structured numbers behind each printed report.
+    can upload the structured numbers behind each printed report.  The
+    artifact is seed-deterministic: wall time stays on the printed
+    report and ``data``'s ``phases`` section stays in the ``bench``
+    document, so two same-seed runs byte-compare.
     """
     doc = {
         "experiment": result.experiment_id,
         "title": result.title,
         "seed": seed,
         "full": full,
-        "wall_s": wall_s,
         "diverged": "[DIVERGES]" in result.text,
-        "data": result.data,
+        "data": {k: v for k, v in result.data.items() if k != "phases"},
     }
     target = Path(os.environ.get("REPRO_ARTIFACT_DIR", ".")) / f"metrics_{result.experiment_id}.json"
     print(f"(wrote {write_json(doc, target)})")
 
 
 def _run_one(exp, full: bool, seed: int):
-    """Print the header, run ``exp``, print its report; returns (result, wall_s)."""
+    """Print the header, run ``exp``, print its report and wall time."""
     print("=" * 72)
     print(f"{exp.id}: {exp.title}  [{'full' if full else 'reduced'} scale, seed {seed}]")
     print(f"paper claim: {exp.paper_claim}")
     print("-" * 72)
-    start = time.perf_counter()  # lint: allow-wallclock -- phase timing; reported as nondeterministic wall_s
+    start = time.perf_counter()  # lint: allow-wallclock -- phase timing; printed only, never written to an artifact
     result = exp.run(full, seed)
-    wall_s = time.perf_counter() - start  # lint: allow-wallclock -- phase timing; reported as nondeterministic wall_s
+    wall_s = time.perf_counter() - start  # lint: allow-wallclock -- phase timing; printed only, never written to an artifact
     print(result.text)
     print(f"({wall_s:.1f}s)")
-    return result, wall_s
+    return result
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -89,10 +92,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     full = is_full_scale(True if args.full else None)
     failures = 0
     for experiment_id in ids:
-        result, wall_s = _run_one(get_experiment(experiment_id), full, args.seed)
+        result = _run_one(get_experiment(experiment_id), full, args.seed)
         if "[DIVERGES]" in result.text:
             failures += 1
-        _write_metrics_artifact(result, full=full, seed=args.seed, wall_s=wall_s)
+        _write_metrics_artifact(result, full=full, seed=args.seed)
         print()
     if failures:
         print(f"{failures} experiment(s) diverged from the paper's claims")
@@ -170,7 +173,7 @@ def _bench_ids() -> list[str]:
 def _cmd_bench(args: argparse.Namespace) -> int:
     exp = EXPERIMENTS[args.id]
     full = is_full_scale(True if args.full else None)
-    result, _ = _run_one(exp, full, args.seed)
+    result = _run_one(exp, full, args.seed)
     print(f"wrote {write_json(result.data, args.out or exp.bench_out)}")
     if "[DIVERGES]" in result.text:
         print(f"{exp.id} diverged from its claims")

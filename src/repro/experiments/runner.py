@@ -2,9 +2,10 @@
 
 The runner is the bridge between configuration and measurement:
 
-* :func:`build_bundle` — topology → latency model → overlay attachment
-  → landmark placement → binning → Chord + HIERAS networks, all seeded
-  from the config for exact reproducibility.  Substrates are cached per
+* :func:`build_bundle` — the deployment build of
+  :mod:`repro.scale.bundle` (topology → latency model → overlay
+  attachment → landmarks → binning → Chord + HIERAS, seeded from the
+  config) with a substrate cache in front.  Substrates are cached per
   :meth:`~repro.experiments.config.SimConfig.topology_key` so sweeps
   that share a deployment (fig2/fig3; fig4/fig5; fig6/fig7) only build
   it once per process.
@@ -15,57 +16,16 @@ The runner is the bridge between configuration and measurement:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.analysis.stats import RouteSample, collect_routes
-from repro.core.binning import BinningScheme, LandmarkOrders
-from repro.core.hieras import HierasNetwork
-from repro.dht.chord import ChordNetwork
 from repro.experiments.config import SimConfig
-from repro.topology.attach import OverlayAttachment, PeerLatencyView, attach_overlay, place_landmarks
-from repro.topology.base import LatencyModel, Topology
-from repro.topology.brite import BriteParams, generate_brite
-from repro.topology.inet import InetParams, generate_inet
-from repro.topology.latency import latency_model_for
-from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
-from repro.util.ids import IdSpace
+from repro.scale.bundle import SimulationBundle, Substrate, build_stacks, build_substrate
 from repro.util.rng import RngFactory
-from repro.util.validation import require
 from repro.workloads.requests import RequestTrace, generate_requests
 
 __all__ = ["SimulationBundle", "build_bundle", "run_pair", "clear_cache", "make_trace"]
 
 
-@dataclass
-class _Substrate:
-    """Cached expensive half of a simulation (no binning/DHT state)."""
-
-    topology: Topology
-    model: LatencyModel
-    attachment: OverlayAttachment
-    peer_latency: PeerLatencyView
-    node_ids: np.ndarray
-    landmark_distances: np.ndarray
-
-
-@dataclass
-class SimulationBundle:
-    """A fully built deployment ready for routing experiments."""
-
-    config: SimConfig
-    topology: Topology
-    attachment: OverlayAttachment
-    peer_latency: PeerLatencyView
-    space: IdSpace
-    node_ids: np.ndarray
-    orders: LandmarkOrders
-    chord: ChordNetwork
-    hieras: HierasNetwork
-
-
-_SUBSTRATES: dict[tuple, _Substrate] = {}
+_SUBSTRATES: dict[tuple, Substrate] = {}
 
 #: Cache ceiling: full-scale Inet/BRITE substrates hold a 200 MB APSP
 #: matrix each, so sweeps evict oldest-first beyond this many entries.
@@ -77,80 +37,15 @@ def clear_cache() -> None:
     _SUBSTRATES.clear()
 
 
-def _generate_topology(config: SimConfig, seed) -> Topology:
-    n = config.n_routers
-    if config.model == "ts":
-        return generate_transit_stub(TransitStubParams.for_size(n), seed=seed)
-    if config.model == "inet":
-        require(
-            n >= 3000,
-            f"Inet topologies need >= 3000 routers (got {n}); the paper "
-            "imposes the same floor (§4.1)",
-        )
-        return generate_inet(InetParams(n_nodes=n), seed=seed)
-    return generate_brite(BriteParams(n_nodes=n), seed=seed)
-
-
-def _build_substrate(config: SimConfig) -> _Substrate:
-    key = config.topology_key()
-    cached = _SUBSTRATES.get(key)
-    if cached is not None:
-        return cached
-    rngs = RngFactory(config.seed)
-    topology = _generate_topology(config, rngs.get("topology"))
-    model = latency_model_for(topology)
-    routers = attach_overlay(topology, config.n_peers, seed=rngs.get("attach"))
-    landmarks = place_landmarks(
-        topology,
-        model,
-        config.n_landmarks,
-        seed=rngs.get("landmarks"),
-        strategy=config.resolved_landmark_strategy,
-    )
-    attachment = OverlayAttachment(topology, routers, landmarks)
-    space = IdSpace(config.bits)
-    node_ids = space.sample_unique_ids(config.n_peers, rngs.get("node-ids"))
-    substrate = _Substrate(
-        topology=topology,
-        model=model,
-        attachment=attachment,
-        peer_latency=attachment.peer_latency(model),
-        node_ids=node_ids,
-        landmark_distances=attachment.landmark_distances(model),
-    )
-    _SUBSTRATES[key] = substrate
-    while len(_SUBSTRATES) > _MAX_SUBSTRATES:
-        _SUBSTRATES.pop(next(iter(_SUBSTRATES)))
-    return substrate
-
-
 def build_bundle(config: SimConfig) -> SimulationBundle:
     """Build (or fetch from cache and finish) a full simulation."""
-    sub = _build_substrate(config)
-    space = IdSpace(config.bits)
-    chord = ChordNetwork(space, sub.node_ids, latency=sub.peer_latency)
-    scheme = BinningScheme.default_for_depth(config.depth)
-    orders = scheme.orders(sub.landmark_distances)
-    hieras = HierasNetwork(
-        space,
-        sub.node_ids,
-        latency=sub.peer_latency,
-        landmark_orders=orders,
-        depth=config.depth,
-        successor_list_r=config.successor_list_r,
-        successor_list_policy=config.successor_list_policy,
-    )
-    return SimulationBundle(
-        config=config,
-        topology=sub.topology,
-        attachment=sub.attachment,
-        peer_latency=sub.peer_latency,
-        space=space,
-        node_ids=sub.node_ids,
-        orders=orders,
-        chord=chord,
-        hieras=hieras,
-    )
+    key = config.topology_key()
+    sub = _SUBSTRATES.get(key)
+    if sub is None:
+        sub = _SUBSTRATES[key] = build_substrate(config)
+        while len(_SUBSTRATES) > _MAX_SUBSTRATES:
+            _SUBSTRATES.pop(next(iter(_SUBSTRATES)))
+    return build_stacks(config, sub)
 
 
 def make_trace(bundle: SimulationBundle, n_requests: int, *, seed_label: str = "requests") -> RequestTrace:

@@ -1,38 +1,96 @@
-"""Substrate sizing and deployment builds for million-peer networks.
+"""The deployment build: the paper's §4.1 set-up as one seeded pipeline.
 
-Everything here is seed-deterministic through the same
-:class:`~repro.util.rng.RngFactory` labels the standard runner uses
-(``"topology"``, ``"attach"``, ``"landmarks"``, ``"node-ids"``), so a
-scale build at a small N is byte-for-byte the standard build — the
-scale path changes only *where state lives*, never what it contains.
+Topology (transit-stub, Inet or BRITE) → latency model → overlay
+attachment → landmark nodes → distributed binning → Chord and HIERAS
+over the same peers, in two steps:
+
+* :func:`build_substrate` — everything
+  :meth:`~repro.experiments.config.SimConfig.topology_key` identifies:
+  topology, latency model, attachment, landmarks, node ids and the
+  landmark distances the binning reads;
+* :func:`build_stacks` — Chord, the binning's landmark orders and
+  HIERAS over one substrate.
+
+Every deployment in the repo comes from these two steps:
+:func:`build_scale_bundle` runs both uncached,
+:func:`repro.experiments.runner.build_bundle` puts its substrate cache
+in front, and :func:`repro.quick_network` is ``build_scale_bundle``
+with spread landmarks.  Seeding goes through fixed
+:class:`~repro.util.rng.RngFactory` labels (``"topology"``,
+``"attach"``, ``"landmarks"``, ``"node-ids"``), so a config names one
+deployment whichever caller builds it.  The steps are looked up as this
+module's globals at call time, so a traced set-up can time each layer.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.binning import BinningScheme
+import numpy as np
+import numpy.typing as npt
+
+from repro.core.binning import BinningScheme, LandmarkOrders
 from repro.core.hieras import HierasNetwork
+from repro.dht.base import RouteResult
 from repro.dht.chord import ChordNetwork
-from repro.experiments.config import SimConfig
-from repro.experiments.runner import SimulationBundle
-from repro.topology.attach import OverlayAttachment, attach_overlay, place_landmarks
+from repro.topology.attach import OverlayAttachment, PeerLatencyView, attach_overlay, place_landmarks
 from repro.topology.base import Topology
 from repro.topology.brite import BriteParams, generate_brite
 from repro.topology.inet import InetParams, generate_inet
-from repro.topology.latency import latency_model_for
+from repro.topology.latency import STREAMING_THRESHOLD_BYTES, latency_model_for
 from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
 from repro.util.ids import IdSpace
 from repro.util.rng import RngFactory
 from repro.util.validation import require
 
-__all__ = ["build_scale_bundle", "hot_state_bytes", "scale_ts_params"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.config import SimConfig
 
-#: Past this eager-model footprint, builds switch to streaming latency.
-DEFAULT_STREAMING_THRESHOLD_BYTES = 1 << 30
+__all__ = [
+    "SimulationBundle",
+    "Substrate",
+    "build_scale_bundle",
+    "build_stacks",
+    "build_substrate",
+    "hot_state_bytes",
+    "scale_ts_params",
+]
 
-#: Hard ceiling on a streaming model's resident blocks (LRU budget).
-DEFAULT_STREAMING_CACHE_BYTES = 4 << 30
+
+@dataclass
+class SimulationBundle:
+    """A fully built deployment ready for routing experiments."""
+
+    config: SimConfig
+    topology: Topology
+    attachment: OverlayAttachment
+    peer_latency: PeerLatencyView
+    space: IdSpace
+    node_ids: npt.NDArray[np.uint64]
+    orders: LandmarkOrders
+    chord: ChordNetwork
+    hieras: HierasNetwork
+
+    def route(self, source: int, key: int) -> RouteResult:
+        """Route ``key`` from ``source`` through HIERAS."""
+        return self.hieras.route(source, key)
+
+    def route_chord(self, source: int, key: int) -> RouteResult:
+        """Route ``key`` from ``source`` through flat Chord."""
+        return self.chord.route(source, key)
+
+
+@dataclass
+class Substrate:
+    """The expensive, depth-independent half of a deployment."""
+
+    topology: Topology
+    attachment: OverlayAttachment
+    peer_latency: PeerLatencyView
+    space: IdSpace
+    node_ids: npt.NDArray[np.uint64]
+    landmark_distances: npt.NDArray[np.float64]
 
 
 def scale_ts_params(n_routers: int) -> TransitStubParams:
@@ -69,41 +127,32 @@ def scale_ts_params(n_routers: int) -> TransitStubParams:
     )
 
 
-def _scale_topology(config: SimConfig, seed: np.random.Generator) -> Topology:
+def _generate_topology(config: SimConfig, seed: np.random.Generator) -> Topology:
+    n = config.n_routers
     if config.model == "ts":
-        return generate_transit_stub(scale_ts_params(config.n_routers), seed=seed)
+        return generate_transit_stub(scale_ts_params(n), seed=seed)
     if config.model == "inet":
         require(
-            config.n_routers >= 3000,
-            f"Inet topologies need >= 3000 routers (got {config.n_routers})",
+            n >= 3000,
+            f"Inet topologies need >= 3000 routers (got {n}); the paper "
+            "imposes the same floor (§4.1)",
         )
-        return generate_inet(InetParams(n_nodes=config.n_routers), seed=seed)
-    return generate_brite(BriteParams(n_nodes=config.n_routers), seed=seed)
+        return generate_inet(InetParams(n_nodes=n), seed=seed)
+    return generate_brite(BriteParams(n_nodes=n), seed=seed)
 
 
-def build_scale_bundle(
-    config: SimConfig,
-    *,
-    streaming_threshold_bytes: int = DEFAULT_STREAMING_THRESHOLD_BYTES,
-    streaming_cache_bytes: int = DEFAULT_STREAMING_CACHE_BYTES,
-) -> SimulationBundle:
-    """Build a deployment sized for millions of peers.
+def build_substrate(
+    config: SimConfig, *, streaming_threshold_bytes: int = STREAMING_THRESHOLD_BYTES
+) -> Substrate:
+    """Topology, latency model, attachment, landmarks and node ids.
 
-    Same pipeline and seeding as
-    :func:`repro.experiments.runner.build_bundle` — topology → latency
-    → attachment → landmarks → binning → both stacks — with three scale
-    adaptations: no process-wide substrate cache (a million-peer
-    substrate is not something to keep two of), transit-stub sizing via
-    :func:`scale_ts_params`, and latency models that stream blocks once
-    their eager form would cross ``streaming_threshold_bytes``.
+    Latency models switch to their streaming twins once the eager form
+    would cross ``streaming_threshold_bytes``
+    (see :func:`~repro.topology.latency.latency_model_for`).
     """
     rngs = RngFactory(config.seed)
-    topology = _scale_topology(config, rngs.get("topology"))
-    model = latency_model_for(
-        topology,
-        streaming_threshold_bytes=streaming_threshold_bytes,
-        streaming_cache_bytes=streaming_cache_bytes,
-    )
+    topology = _generate_topology(config, rngs.get("topology"))
+    model = latency_model_for(topology, streaming_threshold_bytes=streaming_threshold_bytes)
     routers = attach_overlay(topology, config.n_peers, seed=rngs.get("attach"))
     landmarks = place_landmarks(
         topology,
@@ -114,15 +163,24 @@ def build_scale_bundle(
     )
     attachment = OverlayAttachment(topology, routers, landmarks)
     space = IdSpace(config.bits)
-    node_ids = space.sample_unique_ids(config.n_peers, rngs.get("node-ids"))
-    peer_latency = attachment.peer_latency(model)
-    chord = ChordNetwork(space, node_ids, latency=peer_latency)
-    scheme = BinningScheme.default_for_depth(config.depth)
-    orders = scheme.orders(attachment.landmark_distances(model))
+    return Substrate(
+        topology=topology,
+        attachment=attachment,
+        peer_latency=attachment.peer_latency(model),
+        space=space,
+        node_ids=space.sample_unique_ids(config.n_peers, rngs.get("node-ids")),
+        landmark_distances=attachment.landmark_distances(model),
+    )
+
+
+def build_stacks(config: SimConfig, sub: Substrate) -> SimulationBundle:
+    """Chord, the binning's landmark orders and HIERAS over ``sub``."""
+    chord = ChordNetwork(sub.space, sub.node_ids, latency=sub.peer_latency)
+    orders = BinningScheme.default_for_depth(config.depth).orders(sub.landmark_distances)
     hieras = HierasNetwork(
-        space,
-        node_ids,
-        latency=peer_latency,
+        sub.space,
+        sub.node_ids,
+        latency=sub.peer_latency,
         landmark_orders=orders,
         depth=config.depth,
         successor_list_r=config.successor_list_r,
@@ -130,14 +188,24 @@ def build_scale_bundle(
     )
     return SimulationBundle(
         config=config,
-        topology=topology,
-        attachment=attachment,
-        peer_latency=peer_latency,
-        space=space,
-        node_ids=node_ids,
+        topology=sub.topology,
+        attachment=sub.attachment,
+        peer_latency=sub.peer_latency,
+        space=sub.space,
+        node_ids=sub.node_ids,
         orders=orders,
         chord=chord,
         hieras=hieras,
+    )
+
+
+def build_scale_bundle(
+    config: SimConfig, *, streaming_threshold_bytes: int = STREAMING_THRESHOLD_BYTES
+) -> SimulationBundle:
+    """Build a deployment, uncached (a million-peer substrate is not
+    something to keep two of)."""
+    return build_stacks(
+        config, build_substrate(config, streaming_threshold_bytes=streaming_threshold_bytes)
     )
 
 

@@ -51,7 +51,11 @@ __all__ = [
     "CoordinateLatencyModel",
     "NoisyLatencyModel",
     "latency_model_for",
+    "STREAMING_THRESHOLD_BYTES",
 ]
+
+#: Past this eager-model footprint, :func:`latency_model_for` streams.
+STREAMING_THRESHOLD_BYTES = 1 << 30
 
 
 class APSPLatencyModel(LatencyModel):
@@ -454,7 +458,7 @@ class NoisyLatencyModel(LatencyModel):
 def latency_model_for(
     topology: Topology,
     *,
-    streaming_threshold_bytes: int = 1 << 30,
+    streaming_threshold_bytes: int = STREAMING_THRESHOLD_BYTES,
     streaming_cache_bytes: int = 4 << 30,
 ) -> LatencyModel:
     """Pick the best latency model for a topology.

@@ -103,3 +103,26 @@ class TestMetricsArtifact:
         artifact = artifact_dir / "metrics_tiny.json"
         assert json.loads(artifact.read_text())["data"] == {"n": 1}
         assert f"wrote {artifact}" in capsys.readouterr().out
+
+    def test_same_seed_runs_write_identical_artifacts(self, tmp_path, monkeypatch):
+        """Wall time and the ``phases`` section stay out of the artifact,
+        so two same-seed runs byte-compare."""
+        runs = iter(range(2))
+        noisy = Experiment(
+            "noisy", "Noisy", "claim",
+            lambda full, seed: ExperimentResult(
+                "noisy", "Noisy", "  [ok] fine",
+                data={"n": 1, "phases": {"build": {"wall_ms": float(next(runs))}}},
+            ),
+        )
+        monkeypatch.setattr(figures, "EXPERIMENTS", {"noisy": noisy})
+        texts = []
+        for run in ("a", "b"):
+            monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / run))
+            assert cli.main(["run", "noisy"]) == 0
+            texts.append((tmp_path / run / "metrics_noisy.json").read_text(encoding="utf-8"))
+        assert texts[0] == texts[1]
+        doc = json.loads(texts[0])
+        assert "wall_s" not in doc
+        assert "phases" not in doc["data"]
+        assert doc["data"] == {"n": 1}

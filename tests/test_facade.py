@@ -1,8 +1,12 @@
 """Tests for the quick_network facade."""
 
+import numpy as np
 import pytest
 
-from repro import NetworkBundle, quick_network
+from repro import quick_network
+from repro.experiments.config import SimConfig
+from repro.scale import build_scale_bundle
+from repro.scale.bundle import SimulationBundle
 
 
 @pytest.fixture(scope="module")
@@ -12,7 +16,7 @@ def bundle():
 
 class TestQuickNetwork:
     def test_bundle_type_and_fields(self, bundle):
-        assert isinstance(bundle, NetworkBundle)
+        assert isinstance(bundle, SimulationBundle)
         assert bundle.hieras.n_peers == 96
         assert bundle.chord.n_peers == 96
         assert bundle.attachment.n_landmarks == 4
@@ -65,3 +69,30 @@ class TestModelParameter:
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             quick_network(n_peers=64, model="grid")
+
+
+@pytest.mark.parametrize(
+    ("model", "n_peers", "depth"), [("ts", 96, 2), ("ts", 64, 3), ("brite", 80, 2)]
+)
+def test_facade_is_the_deployment_build_with_spread_landmarks(model, n_peers, depth):
+    """quick_network is build_scale_bundle over a spread-landmark config."""
+    facade = quick_network(n_peers=n_peers, depth=depth, seed=5, model=model)
+    built = build_scale_bundle(
+        SimConfig(model=model, n_peers=n_peers, depth=depth, seed=5, landmark_strategy="spread")
+    )
+    assert isinstance(facade, SimulationBundle)
+    np.testing.assert_array_equal(facade.chord.ring.ids, built.chord.ring.ids)
+    np.testing.assert_array_equal(facade.hieras.global_ring.ids, built.hieras.global_ring.ids)
+    for layer in range(2, depth + 1):
+        assert sorted(facade.hieras.rings_at_layer(layer)) == sorted(
+            built.hieras.rings_at_layer(layer)
+        )
+    np.testing.assert_array_equal(
+        facade.attachment.landmark_routers, built.attachment.landmark_routers
+    )
+    rng = np.random.default_rng(0)
+    us, vs = rng.integers(0, n_peers, 200), rng.integers(0, n_peers, 200)
+    np.testing.assert_array_equal(facade.peer_latency.pairs(us, vs), built.peer_latency.pairs(us, vs))
+    for source, key in zip(us[:50].tolist(), rng.integers(0, 2**32, 50).tolist()):
+        assert facade.route(source, key).path == built.route(source, key).path
+        assert facade.route_chord(source, key).path == built.route_chord(source, key).path

@@ -1,5 +1,10 @@
 """Tests for experiment-registry internals and misc public surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
 from repro.experiments import figures
 from repro.experiments.config import SimConfig
@@ -50,7 +55,16 @@ class TestPackageSurface:
 
     def test_public_names(self):
         assert hasattr(repro, "quick_network")
-        assert hasattr(repro, "NetworkBundle")
+        assert not hasattr(repro, "NetworkBundle")
+
+    def test_import_stays_light(self):
+        """`import repro` loads no scientific stack: the facade imports
+        the deployment build lazily."""
+        subprocess.run(
+            [sys.executable, "-c", "import repro, sys; assert 'scipy' not in sys.modules"],
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parent.parent)},
+        )
 
     def test_dht_package_exports(self):
         import repro.dht as dht

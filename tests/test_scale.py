@@ -15,7 +15,7 @@ import pytest
 
 from repro.engine import batch_route, stream_batch_route
 from repro.experiments.config import SimConfig
-from repro.experiments.runner import build_bundle, make_trace
+from repro.experiments.runner import build_bundle, clear_cache, make_trace
 from repro.experiments.scale_exp import SCHEMA, run_bench_scale
 from repro.scale import build_scale_bundle, hot_state_bytes, scale_ts_params
 from repro.topology.transit_stub import TransitStubParams
@@ -41,10 +41,13 @@ class TestScaleTsParams:
 
 class TestBuildScaleBundle:
     def test_small_config_reproduces_standard_build(self):
-        """Below every threshold the scale path is byte-for-byte the
-        standard runner: same topology, ids, rings, latencies."""
+        """A cache-hit ``build_bundle`` finishes the same deployment as an
+        uncached scale build: same topology, ids, rings, latencies."""
         config = SimConfig(model="ts", n_peers=300, seed=9)
+        clear_cache()
+        first = build_bundle(config)
         std = build_bundle(config)
+        assert std.topology is first.topology  # served from the cache
         scale = build_scale_bundle(config)
         assert np.array_equal(std.node_ids, scale.node_ids)
         assert np.array_equal(std.chord.ring.ids, scale.chord.ring.ids)
